@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over the main design choices:
 //!
 //! * octree leaf capacity (table size vs sampling work);
 //! * number of parallel Sampling Modules / scoring lanes (modeled

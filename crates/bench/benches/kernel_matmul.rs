@@ -22,7 +22,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use hgpcn_bench::dense_matrix as dense;
-use hgpcn_pcn::{LinearKernel, Matrix};
+use hgpcn_pcn::{LinearKernel, Matrix, Seam};
 
 /// Like [`dense`] but with roughly half the entries exactly zero — the
 /// sparsity a post-ReLU activation stream actually shows the kernels'

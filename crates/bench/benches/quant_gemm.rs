@@ -20,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use hgpcn_bench::dense_matrix as dense;
-use hgpcn_pcn::{Int8Kernel, LinearKernel, Matrix, QuantLayer};
+use hgpcn_pcn::{Int8Kernel, LinearKernel, Matrix, QuantLayer, Seam};
 
 /// Like [`dense`] but with roughly half the entries exactly zero — the
 /// sparsity a post-ReLU activation stream actually shows the kernels'

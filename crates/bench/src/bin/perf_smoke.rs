@@ -82,14 +82,14 @@ use hgpcn_memsim::{HostMemory, Latency, OpCounts};
 use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};
 use hgpcn_pcn::{
     BruteKnnGatherer, Calibrator, CenterPolicy, Int8Kernel, LinearKernel, Matrix, PointNet,
-    PointNetConfig, Precision, QuantLayer, StageBackends,
+    PointNetConfig, Precision, QuantLayer, Seam, StageBackends,
 };
 use hgpcn_runtime::{
-    ArrivalModel, LatencySummary, Runtime, RuntimeConfig, RuntimeReport, StageBackendNames,
-    StreamSpec, SyntheticSource, TelemetryMode,
+    ArrivalModel, LatencySummary, Runtime, RuntimeConfig, RuntimeReport, StreamSpec,
+    SyntheticSource, TelemetryMode,
 };
-use hgpcn_sampling::ois;
-use hgpcn_system::{reuse, PreprocReuse, PreprocessingEngine, StreamPreprocContext};
+use hgpcn_sampling::{ois, SamplingKernel};
+use hgpcn_system::{PreprocReuse, PreprocessingEngine, StreamPreprocContext};
 
 const TARGET: usize = 512;
 
@@ -206,7 +206,7 @@ fn service_summary(report: &RuntimeReport) -> LatencySummary {
 /// The per-stage backend identity of a side, as a JSON object in
 /// pipeline order — the "per-stage backend recorded" half of the
 /// schema-5 bump.
-fn stage_backends_json(stages: &StageBackendNames) -> String {
+fn stage_backends_json(stages: &StageBackends) -> String {
     let pairs: Vec<String> = stages
         .as_pairs()
         .iter()
@@ -435,7 +435,7 @@ struct ReuseMeasurement {
 /// warm side is the cold side and the ratio pins to 1.0 with an empty
 /// tally — a degraded env override shows up in the JSON, never hides.
 fn reuse_warm_vs_cold() -> ReuseMeasurement {
-    let policy = reuse::active();
+    let policy = PreprocReuse::active();
     let scene = DriftingScene::new(
         DriftingSceneConfig {
             objects: 2,
@@ -446,7 +446,7 @@ fn reuse_warm_vs_cold() -> ReuseMeasurement {
         9,
     );
     let engine = PreprocessingEngine::prototype();
-    let sampling = hgpcn_sampling::stage::active();
+    let sampling = SamplingKernel::active();
     let mut ctx = StreamPreprocContext::new();
     let frames = 8;
     let (mut warm, mut cold) = (Latency::ZERO, Latency::ZERO);

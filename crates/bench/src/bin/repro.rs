@@ -6,7 +6,8 @@
 //!
 //! With no argument, runs everything. Output is plain text, one section
 //! per figure, with the paper's reported range quoted next to the
-//! measured values (also recorded in `EXPERIMENTS.md`).
+//! measured values. The shape of each result is asserted by the
+//! repository's `tests/shape_targets.rs`.
 
 use hgpcn_bench::figures;
 

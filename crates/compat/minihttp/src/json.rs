@@ -1,6 +1,7 @@
 //! JSON tree, strict parser, deterministic serializer.
 //!
-//! Grown from the repository tools' `minijson.rs` parser with the
+//! The workspace's one JSON parser (the serving layer and the
+//! repository tools `bench_gate` / `trace_check` share it), with the
 //! hardening a network-facing layer needs: a nesting-depth cap (a
 //! `[[[[…` bomb fails with [`ParseError`] instead of overflowing the
 //! stack), strict number validation, and a serializer (`Display`) whose
@@ -413,6 +414,15 @@ mod tests {
         assert_eq!(j.arr("a.c").map(<[Json]>::len), Some(2));
         assert_eq!(j.usize_at("a.b"), None, "1.5 is not integral");
         assert_eq!(j.num("a.missing"), None);
+
+        // A pretty-printed bench artifact, as `bench_gate` reads it.
+        let j = parse(
+            "{\n  \"schema_version\": 1,\n  \"batched\": {\"frames\": 32, \"p95_service_ms\": 3.17},\n  \"kernel_backend\": \"avx2\",\n  \"speedup\": 1.45\n}\n",
+        )
+        .unwrap();
+        assert_eq!(j.num("batched.p95_service_ms"), Some(3.17));
+        assert_eq!(j.str_at("kernel_backend"), Some("avx2"));
+        assert_eq!(j.num("speedup"), Some(1.45));
     }
 
     #[test]

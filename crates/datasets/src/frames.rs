@@ -25,7 +25,7 @@ pub enum EvalFrame {
     /// `s3dis.room`: one office room at ~1.5·10^5 points.
     S3disRoom,
     /// `kitti.avg`: an average-size LiDAR frame (~6·10^4 at the executed
-    /// resolution; the paper's raw KITTI is ~10^6 — see `DESIGN.md`).
+    /// resolution; the paper's raw KITTI is ~10^6).
     KittiAvg,
 }
 

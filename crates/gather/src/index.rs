@@ -21,13 +21,14 @@
 //! per-call functions ([`knn::gather`], [`KdTree::knn`], [`veg::gather`]),
 //! and are property-tested to produce identical neighbor sets.
 
+use hgpcn_geometry::seam::Seam;
 use hgpcn_geometry::PointCloud;
 use hgpcn_memsim::OpCounts;
 use hgpcn_octree::{Octree, OctreeConfig, OctreeError};
 
 use crate::kdtree::KdTree;
 use crate::veg::{self, VegConfig};
-use crate::{knn, stage, GatherError, GatherKernel, GatherResult};
+use crate::{knn, GatherError, GatherKernel, GatherResult};
 
 /// A neighbor index over one point cloud: built once, queried many times.
 ///
@@ -261,12 +262,12 @@ impl VegIndex {
             perm,
             inverse,
             config,
-            kernel: stage::active(),
+            kernel: GatherKernel::active(),
         })
     }
 
     /// Pins queries from this index to a specific [`GatherKernel`]
-    /// backend instead of the process-wide [`stage::active`] choice.
+    /// backend instead of the process-wide [`GatherKernel::active`] choice.
     /// All backends are bit-identical, so this changes host speed only
     /// — it exists so a harness (or a runtime honoring a per-run
     /// `stage_backends` override) can run an anchor yardstick and an

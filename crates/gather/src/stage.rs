@@ -16,15 +16,15 @@
 //! > operation counts are charged by the cost formulas of the calling
 //! > gatherer and never depend on the backend.
 //!
-//! Selection policy is decided once per process: [`active`] reads the
-//! `HGPCN_STAGE_GATHER` environment variable on first use (`auto`/empty
-//! picks [`fastest_supported`]); unrecognized names **degrade to the
-//! scalar anchor** with a warning instead of refusing to serve — a stage
-//! backend is an optimization hint, and a typo in a fleet rollout must
-//! not take serving down (`HGPCN_KERNEL`, which gates *numerics-critical*
-//! GEMM dispatch, panics instead; see `ARCHITECTURE.md`).
+//! Selection follows the shared [`Seam`] contract:
+//! `GatherKernel::active()` resolves the `HGPCN_STAGE_GATHER`
+//! environment variable once per process (`auto`/empty picks the
+//! partition-then-sort backend; an unrecognized name warns and degrades
+//! to the scalar anchor).
 
 use std::sync::OnceLock;
+
+use hgpcn_geometry::seam::Seam;
 
 /// A top-K candidate-selection backend. All variants are bit-identical
 /// in results; they differ only in speed. See the [module docs](self).
@@ -45,39 +45,28 @@ pub enum GatherKernel {
     Blocked,
 }
 
-impl GatherKernel {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by
-    /// [`GatherKernel::from_name`].
-    pub fn name(&self) -> &'static str {
+impl Seam for GatherKernel {
+    const ENV: &'static str = "HGPCN_STAGE_GATHER";
+    const ANCHOR: GatherKernel = GatherKernel::Scalar;
+
+    fn all() -> &'static [GatherKernel] {
+        &[GatherKernel::Scalar, GatherKernel::Blocked]
+    }
+
+    fn name(&self) -> &'static str {
         match self {
             GatherKernel::Scalar => "scalar",
             GatherKernel::Blocked => "blocked",
         }
     }
 
-    /// Parses a backend name. Returns `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<GatherKernel> {
-        match name {
-            "scalar" => Some(GatherKernel::Scalar),
-            "blocked" => Some(GatherKernel::Blocked),
-            _ => None,
-        }
+    fn cell() -> &'static OnceLock<GatherKernel> {
+        static CELL: OnceLock<GatherKernel> = OnceLock::new();
+        &CELL
     }
+}
 
-    /// Whether the running CPU can execute this backend. Both backends
-    /// are portable scalar code, so this is always `true`; the method
-    /// exists to keep the stage-kernel surface congruent with
-    /// `LinearKernel` (whose SIMD variants genuinely gate on CPUID).
-    pub fn is_supported(&self) -> bool {
-        true
-    }
-
-    /// Every backend compiled into this build, fastest-last.
-    pub fn all() -> &'static [GatherKernel] {
-        &[GatherKernel::Scalar, GatherKernel::Blocked]
-    }
-
+impl GatherKernel {
     /// Selects the `k` smallest-keyed candidates of `scored` in place:
     /// after the call, `scored` holds exactly `min(k, len)` entries in
     /// ascending `(total_cmp(distance), index)` order — the canonical
@@ -118,41 +107,6 @@ impl GatherKernel {
             }
         }
     }
-}
-
-/// The fastest backend this build supports: the partition-then-sort
-/// [`GatherKernel::Blocked`] selection (portable, so always available).
-pub fn fastest_supported() -> GatherKernel {
-    GatherKernel::Blocked
-}
-
-/// Resolves an override request (the `HGPCN_STAGE_GATHER` value) to a
-/// runnable backend. Empty / `auto` selects [`fastest_supported`];
-/// an unrecognized name **degrades to the scalar anchor** with a
-/// warning on stderr, so a forced configuration still serves (all
-/// backends are bit-identical — degrading can never change results).
-pub fn resolve_override(request: &str) -> GatherKernel {
-    match request {
-        "" | "auto" => fastest_supported(),
-        other => GatherKernel::from_name(other).unwrap_or_else(|| {
-            eprintln!(
-                "HGPCN_STAGE_GATHER: unknown backend {other:?} \
-                 (expected auto | scalar | blocked); degrading to the scalar anchor"
-            );
-            GatherKernel::Scalar
-        }),
-    }
-}
-
-static ACTIVE: OnceLock<GatherKernel> = OnceLock::new();
-
-/// The process-wide gather backend. Decided once, on first use: the
-/// `HGPCN_STAGE_GATHER` override if set, otherwise [`fastest_supported`].
-pub fn active() -> GatherKernel {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_STAGE_GATHER").unwrap_or_default();
-        resolve_override(&request)
-    })
 }
 
 #[cfg(test)]
@@ -199,29 +153,5 @@ mod tests {
             });
             assert_eq!(a[0], (1.0, 3));
         }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for k in GatherKernel::all() {
-            assert_eq!(GatherKernel::from_name(k.name()), Some(*k));
-            assert!(k.is_supported());
-        }
-        assert_eq!(GatherKernel::from_name("bitonic"), None);
-    }
-
-    #[test]
-    fn override_resolution_degrades_gracefully() {
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        assert_eq!(resolve_override("scalar"), GatherKernel::Scalar);
-        assert_eq!(resolve_override("blocked"), GatherKernel::Blocked);
-        // Typos degrade to the anchor instead of refusing to serve.
-        assert_eq!(resolve_override("bogus-backend"), GatherKernel::Scalar);
-    }
-
-    #[test]
-    fn active_is_stable() {
-        assert_eq!(active(), active());
     }
 }

@@ -14,7 +14,8 @@
 //!
 //! * [`VegMode::Paper`] — exactly the shell rule of §VI (inner shells
 //!   taken wholesale). Near-exact in practice; its recall against brute
-//!   KNN is measured in tests and in `EXPERIMENTS.md`.
+//!   KNN is measured by `paper_mode_has_high_recall` below and, through
+//!   logits, by `tests/equivalence.rs` at the repository root.
 //! * [`VegMode::Exact`] — keeps expanding until the K-th candidate
 //!   distance is provably inside the covered region, then sorts all
 //!   candidates: bit-identical neighbor sets to brute-force KNN, at the
@@ -23,10 +24,11 @@
 //!   shell's remainder is picked without sorting (spatially adjacent
 //!   substitutes), eliminating the sort workload entirely.
 
+use hgpcn_geometry::seam::Seam;
 use hgpcn_memsim::OpCounts;
 use hgpcn_octree::{neighbor, Octree};
 
-use crate::{sorter, stage, GatherError, GatherKernel, GatherResult, VegStats};
+use crate::{sorter, GatherError, GatherKernel, GatherResult, VegStats};
 
 /// Neighbor-selection behaviour of the final shell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,11 +93,11 @@ pub fn gather(
     k: usize,
     config: &VegConfig,
 ) -> Result<GatherResult, GatherError> {
-    gather_with(octree, center, k, config, stage::active())
+    gather_with(octree, center, k, config, GatherKernel::active())
 }
 
 /// [`gather`] on a specific [`GatherKernel`] backend instead of the
-/// process-wide [`stage::active`] selection. The kernel only changes how
+/// process-wide [`GatherKernel::active`] selection. The kernel only changes how
 /// the final shell's candidates are *selected on the host* — neighbor
 /// sets, modeled counts and [`VegStats`] are bit-identical across
 /// backends.

@@ -14,6 +14,7 @@
 use proptest::prelude::*;
 
 use hgpcn_gather::stage::GatherKernel;
+use hgpcn_geometry::seam::Seam;
 
 /// Distance keys with NaN, ±∞, ±0.0 and duplicates mixed into ordinary
 /// finite values. (NaN distances reach `top_k` for real: a NaN query or

@@ -11,7 +11,9 @@
 //! * [`morton`] — Morton ("m-code") encoding used by the Octree-Table, the
 //!   space-filling-curve (SFC) linear order, and the Hamming-distance voxel
 //!   metric used by the Down-sampling Unit (§V-B);
-//! * [`sfc`] — helpers to sort points into SFC order.
+//! * [`sfc`] — helpers to sort points into SFC order;
+//! * [`seam`] — the [`seam::Seam`] trait every backend-dispatch seam of
+//!   the workspace implements (resolve-once, warn-and-degrade).
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@ mod cloud;
 mod error;
 pub mod morton;
 mod point;
+pub mod seam;
 pub mod sfc;
 
 pub use aabb::{Aabb, Octant};

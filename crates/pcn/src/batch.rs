@@ -18,7 +18,9 @@
 
 use std::ops::Range;
 
-use crate::{kernel, LinearKernel, Matrix};
+use hgpcn_geometry::seam::Seam;
+
+use crate::{LinearKernel, Matrix};
 
 /// A segmented stack of activation rows: the unit the batched forward
 /// pass moves through MLP layers.
@@ -134,13 +136,13 @@ impl Batch {
     /// One weight traversal for the whole batch:
     /// `self × weights + bias` (optionally fused ReLU) over every stacked
     /// row, keeping the segment table. Dispatches to the process-wide
-    /// [`kernel::active`] backend.
+    /// [`LinearKernel::active`] backend.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
     pub fn linear_fused(&self, weights: &Matrix, bias: &[f32], relu: bool) -> Batch {
-        self.linear_fused_with(kernel::active(), weights, bias, relu)
+        self.linear_fused_with(LinearKernel::active(), weights, bias, relu)
     }
 
     /// [`Batch::linear_fused`] on an explicitly chosen backend — the

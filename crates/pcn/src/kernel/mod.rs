@@ -24,14 +24,17 @@
 //! is separated from policy (which loop to run), and the policy is
 //! decided **once** per process:
 //!
-//! * [`active`] picks the fastest supported backend on first use
-//!   (runtime CPU-feature detection via `is_x86_feature_detected!`) and
-//!   caches it for the lifetime of the process;
+//! * [`LinearKernel`] implements [`Seam`], so
+//!   [`LinearKernel::active`](Seam::active) picks the fastest supported
+//!   backend on first use (runtime CPU-feature detection via
+//!   `is_x86_feature_detected!`) and caches it for the lifetime of the
+//!   process;
 //! * the `HGPCN_KERNEL` environment variable force-overrides the choice
 //!   (`auto`, `reference`, `blocked`, `simd`/`avx2`) for tests, CI
 //!   feature-matrix runs, and performance triage. Forcing a backend the
-//!   platform cannot run degrades to the best scalar backend instead of
-//!   refusing to serve.
+//!   platform cannot run degrades to the best scalar backend, and an
+//!   unknown name warns and degrades to `reference`, like every other
+//!   seam — a forced configuration never refuses to serve.
 //!
 //! The AVX2 backend only exists under the `simd` cargo feature; without
 //! it the crate compiles with no unsafe code at all.
@@ -39,9 +42,9 @@
 //! The quantized inference path plugs in through the same seam: an
 //! [`Int8Kernel`] owns the i32-accumulating i8 GEMM primitive behind
 //! the [`crate::quant`] module (scalar always, AVX2 `vpmaddwd` under
-//! `simd`), and [`active_int8`] derives its selection from the **same**
-//! process-wide decision — one `HGPCN_KERNEL` override steers both
-//! precisions, forced fallbacks included.
+//! `simd`), and [`Int8Kernel::for_linear`] derives its selection from
+//! the **same** process-wide decision — one `HGPCN_KERNEL` override
+//! steers both precisions, forced fallbacks included.
 
 mod int8;
 mod scalar;
@@ -53,6 +56,8 @@ mod avx2;
 mod int8_avx2;
 
 use std::sync::OnceLock;
+
+use hgpcn_geometry::seam::Seam;
 
 use crate::Matrix;
 
@@ -99,10 +104,20 @@ pub enum LinearKernel {
     Avx2,
 }
 
-impl LinearKernel {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by [`LinearKernel::from_name`].
-    pub fn name(&self) -> &'static str {
+impl Seam for LinearKernel {
+    const ENV: &'static str = "HGPCN_KERNEL";
+    const ANCHOR: LinearKernel = LinearKernel::Reference;
+
+    fn all() -> &'static [LinearKernel] {
+        &[
+            LinearKernel::Reference,
+            LinearKernel::Blocked,
+            #[cfg(feature = "simd")]
+            LinearKernel::Avx2,
+        ]
+    }
+
+    fn name(&self) -> &'static str {
         match self {
             LinearKernel::Reference => "reference",
             LinearKernel::Blocked => "blocked",
@@ -111,10 +126,13 @@ impl LinearKernel {
         }
     }
 
-    /// Parses a backend name (`reference`, `blocked`, `simd`/`avx2`).
-    /// Returns `None` for unknown names and for backends compiled out
-    /// (e.g. `avx2` without the `simd` feature).
-    pub fn from_name(name: &str) -> Option<LinearKernel> {
+    fn cell() -> &'static OnceLock<LinearKernel> {
+        static CELL: OnceLock<LinearKernel> = OnceLock::new();
+        &CELL
+    }
+
+    /// Also accepts `simd` as an alias of `avx2`.
+    fn from_name(name: &str) -> Option<LinearKernel> {
         match name {
             "reference" => Some(LinearKernel::Reference),
             "blocked" => Some(LinearKernel::Blocked),
@@ -124,29 +142,25 @@ impl LinearKernel {
         }
     }
 
-    /// Whether the running CPU can execute this backend. Scalar
-    /// backends always can; AVX2 requires runtime feature detection to
-    /// succeed on an `x86_64` host.
-    pub fn is_supported(&self) -> bool {
+    /// `simd`/`avx2` are recognized even when the `simd` feature is
+    /// compiled out, so forcing them degrades to the best scalar
+    /// backend instead of warning.
+    fn recognizes(name: &str) -> bool {
+        matches!(name, "reference" | "blocked" | "simd" | "avx2")
+    }
+
+    /// Scalar backends always run; AVX2 requires runtime feature
+    /// detection to succeed on an `x86_64` host.
+    fn is_supported(&self) -> bool {
         match self {
             LinearKernel::Reference | LinearKernel::Blocked => true,
             #[cfg(feature = "simd")]
             LinearKernel::Avx2 => avx2_detected(),
         }
     }
+}
 
-    /// Every backend compiled into this build, fastest-last. Sweep this
-    /// (filtered by [`LinearKernel::is_supported`]) in equivalence tests
-    /// and benches.
-    pub fn all() -> &'static [LinearKernel] {
-        &[
-            LinearKernel::Reference,
-            LinearKernel::Blocked,
-            #[cfg(feature = "simd")]
-            LinearKernel::Avx2,
-        ]
-    }
-
+impl LinearKernel {
     /// Runs this backend: `x · weights + bias`, row-wise, with an
     /// optional fused ReLU — the primitive behind
     /// [`Matrix::linear`] / [`Matrix::linear_fused`], callable on a
@@ -210,7 +224,7 @@ impl LinearKernel {
                     assert!(
                         avx2_detected(),
                         "the AVX2 kernel was invoked on a CPU without AVX2; \
-                         use kernel::active() for checked dispatch"
+                         use LinearKernel::active() for checked dispatch"
                     );
                     avx2::run(task, y);
                 }
@@ -327,7 +341,7 @@ impl Int8Kernel {
                     assert!(
                         avx2_detected(),
                         "the AVX2 int8 kernel was invoked on a CPU without AVX2; \
-                         use Int8Kernel::for_linear(kernel::active()) for checked dispatch"
+                         use Int8Kernel::for_linear(LinearKernel::active()) for checked dispatch"
                     );
                     int8_avx2::run(task, y);
                 }
@@ -338,14 +352,6 @@ impl Int8Kernel {
     }
 }
 
-/// The process-wide int8 backend: [`Int8Kernel::for_linear`] applied to
-/// [`active`], so one `HGPCN_KERNEL` override steers both precisions
-/// (and a forced-but-unavailable SIMD request degrades to the scalar
-/// int8 backend, mirroring the f32 fallback).
-pub fn active_int8() -> Int8Kernel {
-    Int8Kernel::for_linear(active())
-}
-
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 fn avx2_detected() -> bool {
     is_x86_feature_detected!("avx2")
@@ -354,58 +360,6 @@ fn avx2_detected() -> bool {
 #[cfg(all(feature = "simd", not(target_arch = "x86_64")))]
 fn avx2_detected() -> bool {
     false
-}
-
-/// The fastest backend the build *and* the running CPU support:
-/// AVX2 when the `simd` feature is compiled in and detection succeeds,
-/// otherwise the blocked scalar kernel.
-pub fn fastest_supported() -> LinearKernel {
-    #[cfg(feature = "simd")]
-    if LinearKernel::Avx2.is_supported() {
-        return LinearKernel::Avx2;
-    }
-    LinearKernel::Blocked
-}
-
-/// Resolves an override request (the `HGPCN_KERNEL` value) to a
-/// runnable backend. Empty / `auto` selects [`fastest_supported`];
-/// naming a backend the platform cannot run (e.g. `simd` without the
-/// feature or without AVX2 hardware) **degrades to the best scalar
-/// backend** so a forced configuration still serves.
-///
-/// # Panics
-///
-/// Panics on names that are not `auto`, `reference`, `blocked`, `simd`
-/// or `avx2` — a typo in CI must fail loudly, not silently serve the
-/// wrong backend.
-pub fn resolve_override(request: &str) -> LinearKernel {
-    match request {
-        "" | "auto" => fastest_supported(),
-        "reference" => LinearKernel::Reference,
-        "blocked" => LinearKernel::Blocked,
-        "simd" | "avx2" => match LinearKernel::from_name(request) {
-            Some(k) if k.is_supported() => k,
-            // Compiled out or CPU lacks AVX2: degrade, don't refuse.
-            _ => LinearKernel::Blocked,
-        },
-        other => panic!(
-            "HGPCN_KERNEL: unknown backend {other:?} \
-             (expected auto | reference | blocked | simd | avx2)"
-        ),
-    }
-}
-
-static ACTIVE: OnceLock<LinearKernel> = OnceLock::new();
-
-/// The process-wide backend every [`Matrix::linear`] /
-/// [`Matrix::linear_fused`] call dispatches to. Decided once, on first
-/// use: the `HGPCN_KERNEL` override if set, otherwise
-/// [`fastest_supported`] via runtime CPU-feature detection.
-pub fn active() -> LinearKernel {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_KERNEL").unwrap_or_default();
-        resolve_override(&request)
-    })
 }
 
 #[cfg(test)]
@@ -455,35 +409,17 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
-        for k in LinearKernel::all() {
-            assert_eq!(LinearKernel::from_name(k.name()), Some(*k));
+    fn simd_requests_resolve_to_a_runnable_backend() {
+        // `simd` is an alias of `avx2`; either one degrades to the best
+        // scalar backend when the feature or the CPU support is missing.
+        for request in ["simd", "avx2"] {
+            assert_eq!(
+                LinearKernel::resolve(request),
+                LinearKernel::fastest_supported()
+            );
         }
-        assert_eq!(LinearKernel::from_name("mmx"), None);
-    }
-
-    #[test]
-    fn override_resolution() {
-        assert_eq!(resolve_override("reference"), LinearKernel::Reference);
-        assert_eq!(resolve_override("blocked"), LinearKernel::Blocked);
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        // A forced SIMD request always resolves to something runnable.
-        assert!(resolve_override("simd").is_supported());
-        assert!(resolve_override("avx2").is_supported());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown backend")]
-    fn unknown_override_panics() {
-        let _ = resolve_override("sse9");
-    }
-
-    #[test]
-    fn active_is_stable_and_supported() {
-        let first = active();
-        assert!(first.is_supported());
-        assert_eq!(active(), first, "selection is decided once per process");
+        // An unknown name warns and degrades to the anchor.
+        assert_eq!(LinearKernel::resolve("sse9"), LinearKernel::Reference);
     }
 
     #[test]
@@ -546,8 +482,7 @@ mod tests {
         assert_eq!(Int8Kernel::for_linear(LinearKernel::Avx2), Int8Kernel::Avx2);
         // The process-wide int8 choice is runnable and consistent with
         // the f32 choice (including any HGPCN_KERNEL forced fallback).
-        let k = active_int8();
+        let k = Int8Kernel::for_linear(LinearKernel::active());
         assert!(k.is_supported());
-        assert_eq!(k, Int8Kernel::for_linear(active()));
     }
 }

@@ -15,7 +15,7 @@ use super::LinearTask;
 /// this backend is the immutable semantic anchor *and* the fixed
 /// yardstick the `BENCH_runtime.json` speedup trajectory measures
 /// against, so its shape must not drift between PRs. It is never
-/// auto-selected — [`super::fastest_supported`] always prefers
+/// auto-selected — `LinearKernel::fastest_supported` always prefers
 /// [`blocked`] — so its speed costs nothing in production.
 pub(super) fn reference(task: &LinearTask<'_>, y: &mut [f32]) {
     let &LinearTask {

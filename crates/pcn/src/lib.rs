@@ -6,7 +6,7 @@
 //! feature-propagation stages interpolate back up for segmentation; heads
 //! produce class logits. Weights are seeded-random — the paper's latency
 //! results depend only on layer dimensions and gather patterns, never on
-//! trained weight values (see `DESIGN.md`).
+//! trained weight values.
 //!
 //! The neighbor-gathering step is **pluggable** through [`Gatherer`]: the
 //! CPU/GPU baselines plug brute-force KNN, HgPCN plugs VEG. Because both
@@ -59,6 +59,7 @@ pub use batch::Batch;
 pub use config::{PointNetConfig, Stage, StageWorkload, TaskKind};
 pub use error::PcnError;
 pub use gatherer::{BruteKnnGatherer, Gatherer, IndexedGatherer};
+pub use hgpcn_geometry::seam::Seam;
 pub use kernel::{Int8Kernel, LinearKernel};
 pub use network::{CenterPolicy, InferenceOutput, PointNet};
 pub use quant::{Calibration, Calibrator, Precision, QuantLayer};

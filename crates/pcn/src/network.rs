@@ -2,6 +2,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hgpcn_dla::MlpSpec;
+use hgpcn_geometry::seam::Seam;
 use hgpcn_geometry::{Point3, PointCloud};
 use hgpcn_memsim::OpCounts;
 
@@ -9,8 +10,7 @@ use crate::kernel::Int8Kernel;
 use crate::quant::{AmaxStats, Calibration, MlpGroup, QuantizedModel};
 use crate::stage::StageBackends;
 use crate::{
-    kernel, Batch, Gatherer, LinearKernel, Matrix, PcnError, PointNetConfig, Precision, Stage,
-    TaskKind,
+    Batch, Gatherer, LinearKernel, Matrix, PcnError, PointNetConfig, Precision, Stage, TaskKind,
 };
 
 /// How set-abstraction centers are chosen.
@@ -162,14 +162,14 @@ impl PointNet {
             stage_weights,
             fp_weights,
             head_weights,
-            kernel: kernel::active(),
+            kernel: LinearKernel::active(),
             stages: StageBackends::active(),
             quant: None,
         }
     }
 
     /// Pins this network to a specific matmul backend instead of the
-    /// process-wide [`kernel::active`] choice. All backends are
+    /// process-wide [`LinearKernel::active`] choice. All backends are
     /// bit-identical, so this changes host speed only — it exists so a
     /// harness can run e.g. a reference-kernel yardstick and a SIMD
     /// candidate side by side in one process (`perf_smoke` does exactly

@@ -19,15 +19,17 @@
 //! byte-for-byte) plus at least one optimized backend, and every backend
 //! is **bit-identical** to its anchor — same outputs, same modeled
 //! operation counts — so switching backends can change host speed only,
-//! never results or committed latency quantiles. Unlike `HGPCN_KERNEL`
-//! (which panics on typos), unrecognized stage names **degrade to the
-//! anchor** with a warning: stage backends are optimization hints, and a
-//! misspelled override must not take serving down. See `ARCHITECTURE.md`
-//! for the full seam table.
+//! never results or committed latency quantiles. Each stage kernel
+//! implements [`Seam`], so selection follows the one shared contract:
+//! resolved once per process, and an unrecognized name **degrades to the
+//! anchor** with a warning — a misspelled override must not take serving
+//! down. See `ARCHITECTURE.md` for the full seam table.
 
 use std::cmp::Ordering;
+use std::fmt;
 use std::sync::OnceLock;
 
+use hgpcn_geometry::seam::Seam;
 use hgpcn_geometry::Point3;
 use hgpcn_memsim::OpCounts;
 
@@ -55,38 +57,28 @@ pub enum InterpolateKernel {
     Vectorized,
 }
 
-impl InterpolateKernel {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by
-    /// [`InterpolateKernel::from_name`].
-    pub fn name(&self) -> &'static str {
+impl Seam for InterpolateKernel {
+    const ENV: &'static str = "HGPCN_STAGE_INTERPOLATE";
+    const ANCHOR: InterpolateKernel = InterpolateKernel::Scalar;
+
+    fn all() -> &'static [InterpolateKernel] {
+        &[InterpolateKernel::Scalar, InterpolateKernel::Vectorized]
+    }
+
+    fn name(&self) -> &'static str {
         match self {
             InterpolateKernel::Scalar => "scalar",
             InterpolateKernel::Vectorized => "vectorized",
         }
     }
 
-    /// Parses a backend name. Returns `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<InterpolateKernel> {
-        match name {
-            "scalar" => Some(InterpolateKernel::Scalar),
-            "vectorized" => Some(InterpolateKernel::Vectorized),
-            _ => None,
-        }
+    fn cell() -> &'static OnceLock<InterpolateKernel> {
+        static CELL: OnceLock<InterpolateKernel> = OnceLock::new();
+        &CELL
     }
+}
 
-    /// Whether the running CPU can execute this backend — always `true`
-    /// (both backends are portable scalar code); kept for congruence
-    /// with the `LinearKernel` surface.
-    pub fn is_supported(&self) -> bool {
-        true
-    }
-
-    /// Every backend compiled into this build, fastest-last.
-    pub fn all() -> &'static [InterpolateKernel] {
-        &[InterpolateKernel::Scalar, InterpolateKernel::Vectorized]
-    }
-
+impl InterpolateKernel {
     /// Inverse-distance 3-NN interpolation of `coarse` features onto the
     /// `fine` coordinates (PointNet++'s FP rule), tallying the search
     /// cost into `counts`. This is the loop every segmentation forward
@@ -259,52 +251,20 @@ fn accumulate_row(best: &[(f32, usize); 3], blen: usize, coarse_feats: &Matrix, 
     }
 }
 
-/// The fastest backend this build supports: the SoA
-/// [`InterpolateKernel::Vectorized`] loop (portable, always available).
-pub fn fastest_supported() -> InterpolateKernel {
-    InterpolateKernel::Vectorized
-}
-
-/// Resolves an override request (the `HGPCN_STAGE_INTERPOLATE` value)
-/// to a runnable backend. Empty / `auto` selects [`fastest_supported`];
-/// an unrecognized name **degrades to the scalar anchor** with a
-/// warning on stderr, so a forced configuration still serves.
-pub fn resolve_override(request: &str) -> InterpolateKernel {
-    match request {
-        "" | "auto" => fastest_supported(),
-        other => InterpolateKernel::from_name(other).unwrap_or_else(|| {
-            eprintln!(
-                "HGPCN_STAGE_INTERPOLATE: unknown backend {other:?} \
-                 (expected auto | scalar | vectorized); degrading to the scalar anchor"
-            );
-            InterpolateKernel::Scalar
-        }),
-    }
-}
-
-static ACTIVE: OnceLock<InterpolateKernel> = OnceLock::new();
-
-/// The process-wide interpolation backend. Decided once, on first use:
-/// the `HGPCN_STAGE_INTERPOLATE` override if set, otherwise
-/// [`fastest_supported`].
-pub fn active() -> InterpolateKernel {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_STAGE_INTERPOLATE").unwrap_or_default();
-        resolve_override(&request)
-    })
-}
-
 /// One backend selection per pipeline stage — the unit the runtime
 /// resolves once per run, threads through every engine call, and
 /// reports in `RuntimeReport::stage_backends`.
 ///
 /// ```
 /// use hgpcn_pcn::stage::StageBackends;
+/// use hgpcn_pcn::Seam;
 ///
 /// let anchor = StageBackends::anchor();
-/// assert_eq!(anchor.sampling.name(), "scalar");
-/// assert_eq!(anchor.gather.name(), "scalar");
-/// assert_eq!(anchor.interpolate.name(), "scalar");
+/// assert_eq!(
+///     anchor.as_pairs(),
+///     [("sampling", "scalar"), ("gather", "scalar"), ("interpolate", "scalar")]
+/// );
+/// assert_eq!(anchor.to_string(), "sampling=scalar gather=scalar interpolate=scalar");
 /// // The process-wide selection honors the HGPCN_STAGE_* overrides.
 /// let active = StageBackends::active();
 /// assert!(active.sampling.is_supported());
@@ -325,9 +285,9 @@ impl StageBackends {
     /// the fastest supported backend.
     pub fn active() -> StageBackends {
         StageBackends {
-            sampling: hgpcn_sampling::stage::active(),
-            gather: hgpcn_gather::stage::active(),
-            interpolate: active(),
+            sampling: SamplingKernel::active(),
+            gather: GatherKernel::active(),
+            interpolate: InterpolateKernel::active(),
         }
     }
 
@@ -336,10 +296,32 @@ impl StageBackends {
     /// optimized backends against.
     pub fn anchor() -> StageBackends {
         StageBackends {
-            sampling: SamplingKernel::Scalar,
-            gather: GatherKernel::Scalar,
-            interpolate: InterpolateKernel::Scalar,
+            sampling: SamplingKernel::ANCHOR,
+            gather: GatherKernel::ANCHOR,
+            interpolate: InterpolateKernel::ANCHOR,
         }
+    }
+
+    /// `(stage, backend name)` pairs in pipeline order — the iteration
+    /// the `/metrics` info series and the report renderers share.
+    pub fn as_pairs(&self) -> [(&'static str, &'static str); 3] {
+        [
+            ("sampling", self.sampling.name()),
+            ("gather", self.gather.name()),
+            ("interpolate", self.interpolate.name()),
+        ]
+    }
+}
+
+impl fmt::Display for StageBackends {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "sampling={} gather={} interpolate={}",
+            self.sampling.name(),
+            self.gather.name(),
+            self.interpolate.name()
+        )
     }
 }
 
@@ -432,27 +414,6 @@ mod tests {
             assert!(same, "coarse={}", coarse.len());
             assert_eq!(c1, c2);
         }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for k in InterpolateKernel::all() {
-            assert_eq!(InterpolateKernel::from_name(k.name()), Some(*k));
-            assert!(k.is_supported());
-        }
-        assert_eq!(InterpolateKernel::from_name("gpu"), None);
-    }
-
-    #[test]
-    fn override_resolution_degrades_gracefully() {
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        assert_eq!(resolve_override("scalar"), InterpolateKernel::Scalar);
-        assert_eq!(
-            resolve_override("vectorized"),
-            InterpolateKernel::Vectorized
-        );
-        assert_eq!(resolve_override("cuda"), InterpolateKernel::Scalar);
     }
 
     #[test]

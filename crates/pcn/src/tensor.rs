@@ -1,6 +1,8 @@
 use std::fmt;
 
-use crate::kernel;
+use hgpcn_geometry::seam::Seam;
+
+use crate::LinearKernel;
 
 /// A dense row-major `f32` matrix — the minimal tensor the forward pass
 /// needs (activations are `points × features`).
@@ -100,23 +102,21 @@ impl Matrix {
     /// `self × weights + bias`, applied row-wise: `weights` is
     /// `cols × out`, `bias` has length `out`.
     ///
-    /// Dispatches to the process-wide [`kernel::active`] backend; every
+    /// Dispatches to the process-wide [`LinearKernel::active`] backend; every
     /// backend is bit-identical to [`LinearKernel::Reference`]
     /// (ascending input index, zero inputs skipped), so results do not
     /// depend on which backend serves the call.
-    ///
-    /// [`LinearKernel::Reference`]: crate::LinearKernel::Reference
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
     pub fn linear(&self, weights: &Matrix, bias: &[f32]) -> Matrix {
-        kernel::active().apply(self, weights, bias, false)
+        LinearKernel::active().apply(self, weights, bias, false)
     }
 
     /// `self × weights + bias` with an optional fused ReLU — the batched
     /// path's tile primitive, dispatched to the process-wide
-    /// [`kernel::active`] backend exactly like [`Matrix::linear`].
+    /// [`LinearKernel::active`] backend exactly like [`Matrix::linear`].
     ///
     /// Accumulation order per output element is identical to
     /// [`Matrix::linear`] on every backend, so the result is
@@ -127,7 +127,7 @@ impl Matrix {
     ///
     /// Panics on shape mismatch.
     pub fn linear_fused(&self, weights: &Matrix, bias: &[f32], relu: bool) -> Matrix {
-        kernel::active().apply(self, weights, bias, relu)
+        LinearKernel::active().apply(self, weights, bias, relu)
     }
 
     /// In-place ReLU.

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use hgpcn_pcn::{Batch, LinearKernel, Matrix};
+use hgpcn_pcn::{Batch, LinearKernel, Matrix, Seam};
 
 /// Bit-level equality with NaN normalization: non-NaN values must agree
 /// down to the sign of zero, NaN must meet NaN. (A NaN's *payload* is

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use hgpcn_geometry::Point3;
 use hgpcn_memsim::OpCounts;
-use hgpcn_pcn::{InterpolateKernel, Matrix};
+use hgpcn_pcn::{InterpolateKernel, Matrix, Seam};
 
 /// Coordinates with NaN and exact duplicates mixed into finite values.
 /// `kind` 0 snaps onto a small lattice (duplicates and coincident

@@ -109,7 +109,7 @@ pub struct RuntimeConfig {
     pub stage_backends: Option<StageBackends>,
     /// Preprocessing state policy for every stream of the run. `None`
     /// (the default) defers to the process-wide `HGPCN_PREPROC_REUSE`
-    /// resolution ([`hgpcn_system::reuse::active`]). With
+    /// resolution (`PreprocReuse::active`). With
     /// [`PreprocReuse::On`] each stream owns a
     /// [`StreamPreprocContext`](hgpcn_system::StreamPreprocContext):
     /// scratch buffers persist across its frames and consecutive frames

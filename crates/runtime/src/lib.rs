@@ -83,8 +83,8 @@ pub use config::{AdmissionPolicy, ArrivalModel, BackpressurePolicy, RuntimeConfi
 pub use executor::Runtime;
 pub use metrics::{
     BatchingStats, CrossValidation, FrameRecord, LatencySummary, QueueDepthStats, QueueStats,
-    RuntimeReport, StageBackendNames, StageBreakdown, StreamReport, TelemetrySnapshot,
-    WorkerUtilization, DEFAULT_VALIDATION_TOLERANCE,
+    RuntimeReport, StageBreakdown, StreamReport, TelemetrySnapshot, WorkerUtilization,
+    DEFAULT_VALIDATION_TOLERANCE,
 };
 pub use queue::{BoundedQueue, Closed};
 pub use scheduler::Scheduler;

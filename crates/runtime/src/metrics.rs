@@ -15,55 +15,6 @@ use hgpcn_pcn::StageBackends;
 use hgpcn_system::realtime::RealtimeReport;
 use hgpcn_system::E2eReport;
 
-/// The resolved preproc-stage backend names of a run — one entry per
-/// dispatch seam of the frame pipeline (sampling scoreboard scan,
-/// neighbor top-K selection, FP interpolation). Like
-/// [`RuntimeReport::kernel_backend`] this is host-speed provenance, not
-/// a result qualifier: every backend is bit-identical to its scalar
-/// anchor, so two runs differing only here produce identical logits,
-/// modeled latencies and report timestamps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StageBackendNames {
-    /// OIS scoreboard-scan backend (`hgpcn_sampling::SamplingKernel::name`).
-    pub sampling: &'static str,
-    /// Neighbor top-K selection backend (`hgpcn_gather::GatherKernel::name`).
-    pub gather: &'static str,
-    /// FP-interpolation backend (`hgpcn_pcn::InterpolateKernel::name`).
-    pub interpolate: &'static str,
-}
-
-impl StageBackendNames {
-    /// `(stage, backend)` pairs in pipeline order — the iteration the
-    /// `/metrics` info series and the report renderers share.
-    pub fn as_pairs(&self) -> [(&'static str, &'static str); 3] {
-        [
-            ("sampling", self.sampling),
-            ("gather", self.gather),
-            ("interpolate", self.interpolate),
-        ]
-    }
-}
-
-impl From<StageBackends> for StageBackendNames {
-    fn from(stages: StageBackends) -> StageBackendNames {
-        StageBackendNames {
-            sampling: stages.sampling.name(),
-            gather: stages.gather.name(),
-            interpolate: stages.interpolate.name(),
-        }
-    }
-}
-
-impl fmt::Display for StageBackendNames {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "sampling={} gather={} interpolate={}",
-            self.sampling, self.gather, self.interpolate
-        )
-    }
-}
-
 /// One frame's complete journey, recorded by the worker that finished it.
 #[derive(Clone, Debug)]
 pub struct FrameRecord {
@@ -199,7 +150,7 @@ pub struct StreamReport {
     /// session-wide selection (stage backends are resolved once per
     /// run, never per stream), repeated here so a per-stream consumer
     /// need not join against the run report.
-    pub stage_backends: StageBackendNames,
+    pub stage_backends: StageBackends,
     /// The preprocessing state policy that served this stream
     /// (`hgpcn_system::PreprocReuse::name`: `off` or `on`) — the
     /// session-wide resolution, repeated per stream like
@@ -494,7 +445,7 @@ pub struct RuntimeReport {
     /// The preproc-stage backends every worker of the run dispatched to
     /// (the config override if set, else the served network's pinned
     /// selection). Host-speed provenance like `kernel_backend`.
-    pub stage_backends: StageBackendNames,
+    pub stage_backends: StageBackends,
     /// The preprocessing state policy of the run
     /// (`hgpcn_system::PreprocReuse::name`: `off` or `on`). Like
     /// `kernel_backend` this is provenance, not a result qualifier —

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use hgpcn_geometry::PointCloud;
 use hgpcn_memsim::{Latency, OpCounts};
-use hgpcn_pcn::{InferenceOutput, PointNet, Precision, StageBackends};
+use hgpcn_pcn::{InferenceOutput, PointNet, Precision, Seam, StageBackends};
 use hgpcn_system::{
     E2ePipeline, E2eReport, InferenceReport, PhaseReport, PreprocReuse, StreamPreprocContext,
     SystemError,
@@ -45,7 +45,7 @@ use hgpcn_telemetry::{EventKind, SpanRecorder, TraceCollector, WorkerId};
 use crate::config::{ArrivalModel, BackpressurePolicy, RuntimeConfig};
 use crate::metrics::{
     BatchingStats, FrameRecord, LatencySummary, QueueDepthStats, QueueStats, RuntimeReport,
-    StageBackendNames, StageBreakdown, StreamReport, TelemetrySnapshot, WorkerUtilization,
+    StageBreakdown, StreamReport, TelemetrySnapshot, WorkerUtilization,
 };
 use crate::queue::BoundedQueue;
 use crate::scheduler::Scheduler;
@@ -332,9 +332,7 @@ impl SessionCore {
             serving,
             started,
             traced,
-            reuse: config
-                .preproc_reuse
-                .unwrap_or_else(hgpcn_system::reuse::active),
+            reuse: config.preproc_reuse.unwrap_or_else(PreprocReuse::active),
             contexts: CtxRegistry::new(),
             ingress: BoundedQueue::new(config.queue_capacity),
             stage: BoundedQueue::new(config.queue_capacity),
@@ -595,7 +593,7 @@ impl SessionCore {
         assemble_report(
             &self.config,
             self.kernel_backend,
-            StageBackendNames::from(self.stages),
+            self.stages,
             self.reuse,
             &self.contexts.counts(),
             &streams,
@@ -638,7 +636,7 @@ impl SessionCore {
         let mut report = assemble_report(
             &self.config,
             self.kernel_backend,
-            StageBackendNames::from(self.stages),
+            self.stages,
             self.reuse,
             &self.contexts.counts(),
             &streams,
@@ -1447,7 +1445,7 @@ impl StreamHandle {
 fn assemble_report(
     config: &RuntimeConfig,
     kernel_backend: &'static str,
-    stage_backends: StageBackendNames,
+    stage_backends: StageBackends,
     reuse: PreprocReuse,
     reuse_counts: &[(u64, u64)],
     streams: &[StreamState],

@@ -7,7 +7,7 @@
 //! selected once per process: the override has to be in place before
 //! anything touches a matmul.
 
-use hgpcn_pcn::{kernel, PointNet, PointNetConfig};
+use hgpcn_pcn::{LinearKernel, PointNet, PointNetConfig, Seam};
 use hgpcn_runtime::{ArrivalModel, Runtime, RuntimeConfig, StreamSpec, SyntheticSource};
 
 #[test]
@@ -21,7 +21,7 @@ fn forced_simd_request_degrades_and_serves() {
     // a forced `simd` resolves to exactly what auto-detection would
     // pick (AVX2 when compiled + detected, the blocked scalar backend
     // otherwise), which is the real dispatch rule, not a re-derivation.
-    let expected = kernel::fastest_supported().name();
+    let expected = LinearKernel::fastest_supported().name();
     assert_eq!(net.kernel().name(), expected);
 
     let runtime = Runtime::new(

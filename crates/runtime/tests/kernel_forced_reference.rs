@@ -6,7 +6,7 @@
 //! Own binary: kernel selection is once-per-process, so the env
 //! override must precede the first matmul.
 
-use hgpcn_pcn::{LinearKernel, PointNet, PointNetConfig};
+use hgpcn_pcn::{LinearKernel, PointNet, PointNetConfig, Seam};
 use hgpcn_runtime::{ArrivalModel, Runtime, RuntimeConfig, StreamSpec, SyntheticSource};
 
 fn config() -> RuntimeConfig {

@@ -18,17 +18,20 @@
 //! (§VII-C): like FPS, a region stops being "far" the moment a sample
 //! lands in it. A plain greedy farthest-from-`||S||2` descent (the
 //! simplest reading of Algorithm 2) degenerates — it keeps drawing from
-//! the single region opposite the centroid; `EXPERIMENTS.md` documents
-//! the comparison.
+//! the single region opposite the centroid. The coverage comparison
+//! against FPS and random sampling is asserted by
+//! `ois_quality_matches_fps_class_and_beats_random` in the repository's
+//! `tests/equivalence.rs`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use hgpcn_geometry::seam::Seam;
 use hgpcn_geometry::MortonCode;
 use hgpcn_memsim::{HostMemory, OpCounts};
 use hgpcn_octree::{Octree, OctreeTable};
 
-use crate::{stage, SampleResult, SamplingError, SamplingKernel};
+use crate::{SampleResult, SamplingError, SamplingKernel};
 
 /// Upper bound on the voxel scoreboard. The scoreboard starts as a coarse
 /// octree cut and *refines* — when a pick lands in a voxel, that voxel is
@@ -356,7 +359,8 @@ impl Scoreboard {
     /// every bit), so we evaluate the Chebyshev grid distance of the
     /// de-interleaved coordinates — the same single-cycle combinational
     /// evaluation in hardware, and the interpretation that preserves the
-    /// paper's FPS-accuracy claim (see EXPERIMENTS.md).
+    /// paper's FPS-accuracy claim (asserted by the root
+    /// `tests/equivalence.rs`).
     fn update(&mut self, kernel: SamplingKernel, picked: MortonCode, counts: &mut OpCounts) {
         match kernel {
             SamplingKernel::Scalar => self.update_scalar(picked, counts),
@@ -521,11 +525,20 @@ pub fn sample(
     k: usize,
     seed: u64,
 ) -> Result<SampleResult, SamplingError> {
-    sample_inner(octree, table, mem, k, seed, None, stage::active(), None)
+    sample_inner(
+        octree,
+        table,
+        mem,
+        k,
+        seed,
+        None,
+        SamplingKernel::active(),
+        None,
+    )
 }
 
 /// [`sample`] on a specific [`SamplingKernel`] backend instead of the
-/// process-wide [`stage::active`] selection. All backends pick
+/// process-wide [`SamplingKernel::active`] selection. All backends pick
 /// bit-identical indices and charge identical counts; this knob exists
 /// so a harness (or a runtime honoring a per-run `stage_backends`
 /// override) can run an anchor yardstick and an optimized candidate
@@ -586,7 +599,7 @@ pub fn approx_sample(
         k,
         seed,
         Some(stop_levels),
-        stage::active(),
+        SamplingKernel::active(),
         None,
     )
 }

@@ -15,14 +15,15 @@
 //! > Modeled operation counts are identical by construction — both
 //! > backends charge one scoreboard op per voxel per scan.
 //!
-//! Selection policy is decided once per process: [`active`] reads the
-//! `HGPCN_STAGE_SAMPLING` environment variable on first use
-//! (`auto`/empty picks [`fastest_supported`]); unrecognized names
-//! **degrade to the scalar anchor** with a warning instead of refusing
-//! to serve, matching the other `HGPCN_STAGE_*` seams (see
-//! `ARCHITECTURE.md`).
+//! Selection follows the shared [`Seam`] contract:
+//! `SamplingKernel::active()` resolves the `HGPCN_STAGE_SAMPLING`
+//! environment variable once per process (`auto`/empty picks the
+//! batched scan; an unrecognized name warns and degrades to the scalar
+//! anchor).
 
 use std::sync::OnceLock;
+
+use hgpcn_geometry::seam::Seam;
 
 /// An OIS scoreboard-scan backend. All variants are bit-identical in
 /// the samples they pick; they differ only in speed. See the
@@ -42,106 +43,23 @@ pub enum SamplingKernel {
     Batched,
 }
 
-impl SamplingKernel {
-    /// Stable lower-case name, as reported in `RuntimeReport` and
-    /// `BENCH_runtime.json` and accepted back by
-    /// [`SamplingKernel::from_name`].
-    pub fn name(&self) -> &'static str {
+impl Seam for SamplingKernel {
+    const ENV: &'static str = "HGPCN_STAGE_SAMPLING";
+    const ANCHOR: SamplingKernel = SamplingKernel::Scalar;
+
+    fn all() -> &'static [SamplingKernel] {
+        &[SamplingKernel::Scalar, SamplingKernel::Batched]
+    }
+
+    fn name(&self) -> &'static str {
         match self {
             SamplingKernel::Scalar => "scalar",
             SamplingKernel::Batched => "batched",
         }
     }
 
-    /// Parses a backend name. Returns `None` for unknown names.
-    ///
-    /// ```
-    /// use hgpcn_sampling::SamplingKernel;
-    ///
-    /// assert_eq!(SamplingKernel::from_name("batched"), Some(SamplingKernel::Batched));
-    /// assert_eq!(SamplingKernel::from_name("fpga"), None);
-    /// ```
-    pub fn from_name(name: &str) -> Option<SamplingKernel> {
-        match name {
-            "scalar" => Some(SamplingKernel::Scalar),
-            "batched" => Some(SamplingKernel::Batched),
-            _ => None,
-        }
-    }
-
-    /// Whether the running CPU can execute this backend — always `true`
-    /// (both backends are portable scalar code); kept for congruence
-    /// with the `LinearKernel` surface.
-    pub fn is_supported(&self) -> bool {
-        true
-    }
-
-    /// Every backend compiled into this build, fastest-last.
-    pub fn all() -> &'static [SamplingKernel] {
-        &[SamplingKernel::Scalar, SamplingKernel::Batched]
-    }
-}
-
-/// The fastest backend this build supports: the branchless SoA
-/// [`SamplingKernel::Batched`] scan (portable, so always available).
-pub fn fastest_supported() -> SamplingKernel {
-    SamplingKernel::Batched
-}
-
-/// Resolves an override request (the `HGPCN_STAGE_SAMPLING` value) to a
-/// runnable backend. Empty / `auto` selects [`fastest_supported`]; an
-/// unrecognized name **degrades to the scalar anchor** with a warning
-/// on stderr, so a forced configuration still serves (all backends are
-/// bit-identical — degrading can never change results).
-pub fn resolve_override(request: &str) -> SamplingKernel {
-    match request {
-        "" | "auto" => fastest_supported(),
-        other => SamplingKernel::from_name(other).unwrap_or_else(|| {
-            eprintln!(
-                "HGPCN_STAGE_SAMPLING: unknown backend {other:?} \
-                 (expected auto | scalar | batched); degrading to the scalar anchor"
-            );
-            SamplingKernel::Scalar
-        }),
-    }
-}
-
-static ACTIVE: OnceLock<SamplingKernel> = OnceLock::new();
-
-/// The process-wide sampling backend. Decided once, on first use: the
-/// `HGPCN_STAGE_SAMPLING` override if set, otherwise
-/// [`fastest_supported`].
-pub fn active() -> SamplingKernel {
-    *ACTIVE.get_or_init(|| {
-        let request = std::env::var("HGPCN_STAGE_SAMPLING").unwrap_or_default();
-        resolve_override(&request)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for k in SamplingKernel::all() {
-            assert_eq!(SamplingKernel::from_name(k.name()), Some(*k));
-            assert!(k.is_supported());
-        }
-        assert_eq!(SamplingKernel::from_name("bitonic"), None);
-    }
-
-    #[test]
-    fn override_resolution_degrades_gracefully() {
-        assert_eq!(resolve_override(""), fastest_supported());
-        assert_eq!(resolve_override("auto"), fastest_supported());
-        assert_eq!(resolve_override("scalar"), SamplingKernel::Scalar);
-        assert_eq!(resolve_override("batched"), SamplingKernel::Batched);
-        assert_eq!(resolve_override("no-such-unit"), SamplingKernel::Scalar);
-    }
-
-    #[test]
-    fn active_is_stable() {
-        assert_eq!(active(), active());
+    fn cell() -> &'static OnceLock<SamplingKernel> {
+        static CELL: OnceLock<SamplingKernel> = OnceLock::new();
+        &CELL
     }
 }

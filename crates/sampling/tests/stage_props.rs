@@ -12,6 +12,7 @@
 
 use proptest::prelude::*;
 
+use hgpcn_geometry::seam::Seam;
 use hgpcn_geometry::{Point3, PointCloud};
 use hgpcn_memsim::HostMemory;
 use hgpcn_octree::{Octree, OctreeConfig, OctreeTable};

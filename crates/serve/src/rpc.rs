@@ -11,10 +11,10 @@
 //! failures add `error.data.stage` ([`RuntimeError::frame_stage`]).
 
 use hgpcn_geometry::{Point3, PointCloud};
-use hgpcn_pcn::Precision;
+use hgpcn_pcn::{Precision, StageBackends};
 use hgpcn_runtime::{
-    FrameResult, FrameStatus, LatencySummary, RuntimeError, RuntimeReport, StageBackendNames,
-    StreamProfile, StreamReport, StreamService,
+    FrameResult, FrameStatus, LatencySummary, RuntimeError, RuntimeReport, StreamProfile,
+    StreamReport, StreamService,
 };
 use minihttp::http::Response;
 use minihttp::json::{self, Json};
@@ -452,9 +452,9 @@ fn preproc_reuse_json(report: &RuntimeReport) -> Json {
 }
 
 /// The `{stage: backend}` map both report views expose — the JSON face
-/// of [`StageBackendNames`] (host-speed provenance; every backend is
+/// of [`StageBackends`] (host-speed provenance; every backend is
 /// bit-identical to its anchor).
-fn stage_backends_json(stages: &StageBackendNames) -> Json {
+fn stage_backends_json(stages: &StageBackends) -> Json {
     Json::obj(
         stages
             .as_pairs()

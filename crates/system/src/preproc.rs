@@ -1,3 +1,4 @@
+use hgpcn_geometry::seam::Seam;
 use hgpcn_geometry::PointCloud;
 use hgpcn_memsim::{DeviceProfile, HostMemory, Latency, OpCounts};
 use hgpcn_octree::{BuildStats, Octree, OctreeConfig, OctreeTable};
@@ -144,7 +145,7 @@ impl PreprocessingEngine {
         target: usize,
         seed: u64,
     ) -> Result<PreprocessOutput, SystemError> {
-        self.run_inner(frame, target, seed, None, hgpcn_sampling::stage::active())
+        self.run_inner(frame, target, seed, None, SamplingKernel::active())
     }
 
     /// [`PreprocessingEngine::run`] with an explicit scoreboard-scan
@@ -183,7 +184,7 @@ impl PreprocessingEngine {
             target,
             seed,
             Some(self.cpu),
-            hgpcn_sampling::stage::active(),
+            SamplingKernel::active(),
         )
     }
 

@@ -1,5 +1,6 @@
 use hgpcn_gather::veg::VegConfig;
 use hgpcn_gather::{GatherKernel, GatherResult, NeighborIndex, VegIndex};
+use hgpcn_geometry::seam::Seam;
 use hgpcn_geometry::PointCloud;
 use hgpcn_memsim::OpCounts;
 use hgpcn_octree::OctreeConfig;
@@ -27,12 +28,12 @@ pub struct VegGatherer {
 impl VegGatherer {
     /// Creates a gatherer with the given VEG behaviour, dispatching
     /// top-K selection to the process-wide
-    /// [`hgpcn_gather::stage::active`] backend.
+    /// [`GatherKernel::active`] backend.
     pub fn new(config: VegConfig) -> VegGatherer {
         VegGatherer {
             config,
             octree_config: OctreeConfig::default(),
-            kernel: hgpcn_gather::stage::active(),
+            kernel: GatherKernel::active(),
             counts: OpCounts::default(),
             results: Vec::new(),
         }

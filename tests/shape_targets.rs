@@ -4,7 +4,7 @@
 //! the same code paths as the `repro` binary and assert the qualitative
 //! results the paper reports: who wins, by roughly what factor, and where
 //! the crossovers fall. Absolute paper numbers are *not* asserted — the
-//! substrate is a simulator, not the authors' testbed (see DESIGN.md).
+//! substrate is a simulator, not the authors' testbed.
 
 use hgpcn::bench::figures;
 use hgpcn::datasets::modelnet::{self, ModelNetObject};

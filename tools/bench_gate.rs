@@ -87,84 +87,66 @@
 //! Absolute `wall_fps` values are printed for the record but never gated
 //! (a faster or slower runner generation would otherwise break CI).
 //!
-//! No dependencies: JSON parsing comes from the shared `minijson`
-//! module next to this file.
+//! JSON parsing comes from `minihttp::json`, the workspace's one JSON
+//! parser.
 
-#[path = "minijson.rs"]
-#[allow(dead_code)] // each tool uses a different slice of the parser API
-mod minijson;
-
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use minijson::{parse_json, Json};
+use minihttp::json::{parse, Json};
+
+/// Every numeric flag `bench_gate` accepts.
+const FLAGS: [&str; 7] = [
+    "--tolerance",
+    "--min-speedup",
+    "--min-int8-vs-f32",
+    "--min-telemetry-ratio",
+    "--min-drop-rate",
+    "--min-preproc-vs-anchor",
+    "--min-warm-vs-cold",
+];
+
+/// Parses the value of a numeric flag. Non-finite values are rejected —
+/// `ratio > 1.0 + NaN` is false, so a NaN or infinite tolerance would
+/// silently pass every check — and so is a negative `--tolerance`.
+fn number_flag(flag: &str, value: Option<&str>) -> Result<f64, String> {
+    let v: f64 = value
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("{flag} needs a number"))?;
+    if !v.is_finite() {
+        return Err(format!("{flag} must be finite, got {v}"));
+    }
+    if flag == "--tolerance" && v < 0.0 {
+        return Err(format!("{flag} must be non-negative, got {v}"));
+    }
+    Ok(v)
+}
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_json(&text).map_err(|e| format!("{path}: {e}"))
+    parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut paths: Vec<String> = Vec::new();
-    let mut tolerance = 0.15f64;
-    let mut min_speedup: Option<f64> = None;
-    let mut min_int8_vs_f32: Option<f64> = None;
-    let mut min_telemetry_ratio: Option<f64> = None;
-    let mut min_drop_rate: Option<f64> = None;
-    let mut min_preproc_vs_anchor: Option<f64> = None;
-    let mut min_warm_vs_cold: Option<f64> = None;
+    let mut flags: BTreeMap<String, f64> = BTreeMap::new();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tolerance" => {
-                tolerance = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--tolerance needs a number");
-                    std::process::exit(2);
-                })
+        if !FLAGS.contains(&a.as_str()) {
+            paths.push(a);
+            continue;
+        }
+        match number_flag(&a, args.next().as_deref()) {
+            Ok(v) => {
+                flags.insert(a, v);
             }
-            "--min-speedup" => {
-                min_speedup = Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--min-speedup needs a number");
-                    std::process::exit(2);
-                }))
+            Err(e) => {
+                eprintln!("bench_gate: {e}");
+                return ExitCode::from(2);
             }
-            "--min-int8-vs-f32" => {
-                min_int8_vs_f32 =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--min-int8-vs-f32 needs a number");
-                        std::process::exit(2);
-                    }))
-            }
-            "--min-telemetry-ratio" => {
-                min_telemetry_ratio =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--min-telemetry-ratio needs a number");
-                        std::process::exit(2);
-                    }))
-            }
-            "--min-drop-rate" => {
-                min_drop_rate =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--min-drop-rate needs a number");
-                        std::process::exit(2);
-                    }))
-            }
-            "--min-preproc-vs-anchor" => {
-                min_preproc_vs_anchor =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--min-preproc-vs-anchor needs a number");
-                        std::process::exit(2);
-                    }))
-            }
-            "--min-warm-vs-cold" => {
-                min_warm_vs_cold =
-                    Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--min-warm-vs-cold needs a number");
-                        std::process::exit(2);
-                    }))
-            }
-            other => paths.push(other.to_owned()),
         }
     }
+    let tolerance = flags.get("--tolerance").copied().unwrap_or(0.15);
     if paths.len() != 2 {
         eprintln!(
             "usage: bench_gate <baseline.json> <candidate.json> [--tolerance 0.15] \
@@ -206,6 +188,26 @@ fn main() -> ExitCode {
         }
     };
 
+    // `--min-<name> X` floors: absolute lower bounds on one candidate
+    // metric, independent of the baseline.
+    let floor = |flag: &str, key: &str| {
+        let Some(&floor) = flags.get(flag) else {
+            return;
+        };
+        let name = flag.trim_start_matches("--min-");
+        match candidate.num(key) {
+            Some(v) if v >= floor => println!("ok   {name} floor: {v:.3} >= {floor:.3}"),
+            Some(v) => {
+                eprintln!("FAIL {name} floor: {v:.3} < {floor:.3}");
+                failures.set(failures.get() + 1);
+            }
+            None => {
+                eprintln!("FAIL {name} floor: candidate has no {key}");
+                failures.set(failures.get() + 1);
+            }
+        }
+    };
+
     // Schema detection: the load harness writes `offered.*`, perf_smoke
     // writes `serial.*`/`batched.*` — gate whichever trajectory this is.
     let is_load = candidate.num("offered.p99_sojourn_ms").is_some()
@@ -230,19 +232,7 @@ fn main() -> ExitCode {
             false,
         );
 
-        if let Some(floor) = min_drop_rate {
-            match candidate.num("saturation.drop_rate") {
-                Some(v) if v >= floor => println!("ok   drop-rate floor: {v:.3} >= {floor:.3}"),
-                Some(v) => {
-                    eprintln!("FAIL drop-rate floor: {v:.3} < {floor:.3}");
-                    failures.set(failures.get() + 1);
-                }
-                None => {
-                    eprintln!("FAIL drop-rate floor: candidate has no saturation.drop_rate");
-                    failures.set(failures.get() + 1);
-                }
-            }
-        }
+        floor("--min-drop-rate", "saturation.drop_rate");
 
         // Context lines (informational, never gated).
         for key in [
@@ -326,79 +316,15 @@ fn main() -> ExitCode {
         false,
     );
 
-    if let Some(floor) = min_int8_vs_f32 {
-        match candidate.num("int8_gmacs_vs_f32_blocked") {
-            Some(v) if v >= floor => println!("ok   int8-vs-f32 floor: {v:.3} >= {floor:.3}"),
-            Some(v) => {
-                eprintln!("FAIL int8-vs-f32 floor: {v:.3} < {floor:.3}");
-                failures.set(failures.get() + 1);
-            }
-            None => {
-                eprintln!("FAIL int8-vs-f32 floor: candidate has no int8_gmacs_vs_f32_blocked");
-                failures.set(failures.get() + 1);
-            }
-        }
-    }
+    floor("--min-int8-vs-f32", "int8_gmacs_vs_f32_blocked");
 
-    if let Some(floor) = min_telemetry_ratio {
-        match candidate.num("telemetry_on_vs_off") {
-            Some(v) if v >= floor => println!("ok   telemetry-ratio floor: {v:.3} >= {floor:.3}"),
-            Some(v) => {
-                eprintln!("FAIL telemetry-ratio floor: {v:.3} < {floor:.3}");
-                failures.set(failures.get() + 1);
-            }
-            None => {
-                eprintln!("FAIL telemetry-ratio floor: candidate has no telemetry_on_vs_off");
-                failures.set(failures.get() + 1);
-            }
-        }
-    }
+    floor("--min-telemetry-ratio", "telemetry_on_vs_off");
 
-    if let Some(floor) = min_preproc_vs_anchor {
-        match candidate.num("preproc_gmacs_vs_anchor") {
-            Some(v) if v >= floor => {
-                println!("ok   preproc-vs-anchor floor: {v:.3} >= {floor:.3}")
-            }
-            Some(v) => {
-                eprintln!("FAIL preproc-vs-anchor floor: {v:.3} < {floor:.3}");
-                failures.set(failures.get() + 1);
-            }
-            None => {
-                eprintln!("FAIL preproc-vs-anchor floor: candidate has no preproc_gmacs_vs_anchor");
-                failures.set(failures.get() + 1);
-            }
-        }
-    }
+    floor("--min-preproc-vs-anchor", "preproc_gmacs_vs_anchor");
 
-    if let Some(floor) = min_warm_vs_cold {
-        match candidate.num("preproc_warm_vs_cold") {
-            Some(v) if v >= floor => {
-                println!("ok   warm-vs-cold floor: {v:.3} >= {floor:.3}")
-            }
-            Some(v) => {
-                eprintln!("FAIL warm-vs-cold floor: {v:.3} < {floor:.3}");
-                failures.set(failures.get() + 1);
-            }
-            None => {
-                eprintln!("FAIL warm-vs-cold floor: candidate has no preproc_warm_vs_cold");
-                failures.set(failures.get() + 1);
-            }
-        }
-    }
+    floor("--min-warm-vs-cold", "preproc_warm_vs_cold");
 
-    if let Some(floor) = min_speedup {
-        match candidate.num("speedup") {
-            Some(s) if s >= floor => println!("ok   speedup floor: {s:.3} >= {floor:.3}"),
-            Some(s) => {
-                eprintln!("FAIL speedup floor: {s:.3} < {floor:.3}");
-                failures.set(failures.get() + 1);
-            }
-            None => {
-                eprintln!("FAIL speedup floor: candidate has no speedup field");
-                failures.set(failures.get() + 1);
-            }
-        }
-    }
+    floor("--min-speedup", "speedup");
 
     // Context lines (informational, never gated).
     for key in [
@@ -454,5 +380,39 @@ fn main() -> ExitCode {
     } else {
         println!("bench_gate: no regressions");
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn number_flags_parse_finite_values() {
+        assert_eq!(number_flag("--tolerance", Some("0.2")), Ok(0.2));
+        assert_eq!(number_flag("--tolerance", Some("0")), Ok(0.0));
+        assert_eq!(number_flag("--min-speedup", Some("1.5")), Ok(1.5));
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected() {
+        // A NaN or infinite tolerance would make every regression check
+        // pass; each flag refuses them instead of failing open.
+        for flag in FLAGS {
+            for bad in ["NaN", "nan", "inf", "-inf", "infinity"] {
+                assert!(number_flag(flag, Some(bad)).is_err(), "{flag} {bad}");
+            }
+        }
+    }
+
+    #[test]
+    fn negative_tolerance_is_rejected() {
+        assert!(number_flag("--tolerance", Some("-0.1")).is_err());
+    }
+
+    #[test]
+    fn missing_or_malformed_values_are_rejected() {
+        assert!(number_flag("--tolerance", None).is_err());
+        assert!(number_flag("--min-warm-vs-cold", Some("fast")).is_err());
     }
 }
